@@ -69,7 +69,7 @@ func (e *SendError) Unwrap() error { return e.Err }
 // runs and the chaos soak can classify them with errors.As alongside
 // SendError.
 type ChanMisuseError struct {
-	// Op is the violating operation ("Receive", "Send", "StreamSend",
+	// Op is the violating operation ("Receive", "StreamSend",
 	// "StreamClose", "StreamRecv", "CancelStream").
 	Op string
 	// Chan is the channel or stream id.
@@ -80,7 +80,7 @@ type ChanMisuseError struct {
 	// port is unknown to the runtime.
 	Owner int
 	// Reason classifies the violation: "cross-pe", "already-received",
-	// "unknown-channel", "closed-or-unknown-stream", "unknown-stream".
+	// "closed-or-unknown-stream", "unknown-stream".
 	Reason string
 }
 

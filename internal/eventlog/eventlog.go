@@ -81,8 +81,9 @@ const (
 	// MsgDrop: the fault injector discarded an outgoing message after
 	// packing (Arg = destination PE).
 	MsgDrop
-	// FaultPanic: the fault injector panicked this worker/thread (Arg =
-	// the injected spark/process index, truncated to 32 bits).
+	// FaultPanic: the fault injector panicked this worker/thread, or
+	// doomed a spark created here (Arg = the injected spark/process
+	// index, truncated to 32 bits).
 	FaultPanic
 	// ThunkPoison: a dying thread poisoned a claimed thunk so blocked
 	// peers fail over instead of waiting forever.

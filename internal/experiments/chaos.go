@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"html"
+	"sort"
 	"strings"
+	"syscall"
 	"time"
 
 	"parhask/internal/eden"
@@ -286,10 +288,63 @@ func (s *ChaosSoak) HTML() []byte {
 	return []byte(sb.String())
 }
 
+// overheadReps is how many interleaved off/on pairs an overhead
+// measurement runs.
+const overheadReps = 7
+
+// processCPUNS is the CPU time, user plus system, this process has
+// used so far.
+func processCPUNS() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(fmt.Sprintf("experiments: getrusage: %v", err))
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}
+
+// pairedOverhead runs reps off/on pairs of run (which returns the
+// run's wall time), alternating which side goes first. It returns each
+// side's best wall time and the overhead: the median over pairs of the
+// on run's extra process CPU time relative to the off run's, in
+// percent. CPU time is what a plane costs in work done, and unlike wall
+// time it does not grow when other processes take the CPUs. Each pair
+// compares two runs taken moments apart, so a change in machine load
+// partway through skews at most the pair that straddles it.
+func pairedOverhead(reps int, run func(on bool) int64) (offNS, onNS int64, pct float64) {
+	offNS, onNS = 1<<62-1, 1<<62-1
+	timed := func(on bool) (cpu int64) {
+		c0 := processCPUNS()
+		wall := run(on)
+		cpu = processCPUNS() - c0
+		if on {
+			onNS = min(onNS, wall)
+		} else {
+			offNS = min(offNS, wall)
+		}
+		return cpu
+	}
+	diffs := make([]float64, reps)
+	for i := range diffs {
+		var off, on int64
+		if i%2 == 0 {
+			off = timed(false)
+			on = timed(true)
+		} else {
+			on = timed(true)
+			off = timed(false)
+		}
+		diffs[i] = 100 * (float64(on) - float64(off)) / float64(max(off, 1))
+	}
+	sort.Float64s(diffs)
+	return offNS, onNS, diffs[reps/2]
+}
+
 // FaultOverheadBench measures what an idle fault plane costs: the same
 // workload with Config.Faults nil versus armed with an empty plan. The
 // hooks are a nil check on the hot path, so the armed run must stay
-// within noise (the acceptance bar is 2%).
+// within noise (the acceptance bar is 2%). DisabledNS and ArmedNS are
+// best-of wall times; OverheadPct is the median paired difference in
+// process CPU time (see pairedOverhead).
 type FaultOverheadBench struct {
 	Reps        int     `json:"reps"`
 	DisabledNS  int64   `json:"disabled_ns"`
@@ -297,10 +352,9 @@ type FaultOverheadBench struct {
 	OverheadPct float64 `json:"overhead_pct"`
 }
 
-// MeasureFaultOverhead runs the interleaved disabled/armed comparison
-// on the native GpH runtime (best-of-reps to shed scheduler noise).
+// MeasureFaultOverhead runs the paired disabled/armed comparison on
+// the native GpH runtime (see pairedOverhead).
 func MeasureFaultOverhead() *FaultOverheadBench {
-	const reps = 5
 	const n, chunks = 3000, 96
 	want := euler.SumTotientSieve(n)
 	run := func(armed bool) int64 {
@@ -317,21 +371,13 @@ func MeasureFaultOverhead() *FaultOverheadBench {
 		}
 		return res.WallNS
 	}
-	b := &FaultOverheadBench{Reps: reps, DisabledNS: 1<<62 - 1, ArmedNS: 1<<62 - 1}
-	for i := 0; i < reps; i++ {
-		if t := run(false); t < b.DisabledNS {
-			b.DisabledNS = t
-		}
-		if t := run(true); t < b.ArmedNS {
-			b.ArmedNS = t
-		}
-	}
-	b.OverheadPct = 100 * (float64(b.ArmedNS) - float64(b.DisabledNS)) / float64(b.DisabledNS)
+	b := &FaultOverheadBench{Reps: overheadReps}
+	b.DisabledNS, b.ArmedNS, b.OverheadPct = pairedOverhead(overheadReps, run)
 	return b
 }
 
 // String renders the overhead comparison.
 func (b *FaultOverheadBench) String() string {
-	return fmt.Sprintf("Fault-plane overhead (disabled vs armed-empty, best of %d):\n  disabled %s | armed %s | overhead %+.2f%%\n",
+	return fmt.Sprintf("Fault-plane overhead (disabled vs armed-empty, %d paired runs):\n  disabled %s | armed %s (best of each) | CPU overhead %+.2f%% (median pair)\n",
 		b.Reps, stats.Seconds(b.DisabledNS), stats.Seconds(b.ArmedNS), b.OverheadPct)
 }

@@ -120,7 +120,9 @@ func (t *ServiceTelemetry) String() string {
 // MetricsOverheadBench measures what the metrics plane costs the native
 // pool: the same workload with Config.Metrics nil versus a live
 // registry. The enabled path is sharded atomics; the disabled path is a
-// nil check — it must stay within noise of no plane at all.
+// nil check — it must stay within noise of no plane at all. DisabledNS
+// and EnabledNS are best-of wall times; OverheadPct is the median
+// paired difference in process CPU time (see pairedOverhead).
 type MetricsOverheadBench struct {
 	Reps        int     `json:"reps"`
 	DisabledNS  int64   `json:"disabled_ns"`
@@ -128,11 +130,10 @@ type MetricsOverheadBench struct {
 	OverheadPct float64 `json:"overhead_pct"`
 }
 
-// MeasureMetricsOverhead runs the interleaved disabled/enabled
-// comparison on the resident pool (best-of-reps to shed scheduler
-// noise), mirroring MeasureFaultOverhead.
+// MeasureMetricsOverhead runs the paired disabled/enabled comparison
+// on the resident pool (see pairedOverhead), mirroring
+// MeasureFaultOverhead.
 func MeasureMetricsOverhead() *MetricsOverheadBench {
-	const reps = 5
 	const n, chunks = 3000, 96
 	want := euler.SumTotientSieve(n)
 	run := func(enabled bool) int64 {
@@ -155,21 +156,13 @@ func MeasureMetricsOverhead() *MetricsOverheadBench {
 		}
 		return res.WallNS
 	}
-	b := &MetricsOverheadBench{Reps: reps, DisabledNS: 1<<62 - 1, EnabledNS: 1<<62 - 1}
-	for i := 0; i < reps; i++ {
-		if t := run(false); t < b.DisabledNS {
-			b.DisabledNS = t
-		}
-		if t := run(true); t < b.EnabledNS {
-			b.EnabledNS = t
-		}
-	}
-	b.OverheadPct = 100 * (float64(b.EnabledNS) - float64(b.DisabledNS)) / float64(b.DisabledNS)
+	b := &MetricsOverheadBench{Reps: overheadReps}
+	b.DisabledNS, b.EnabledNS, b.OverheadPct = pairedOverhead(overheadReps, run)
 	return b
 }
 
 // String renders the overhead comparison.
 func (b *MetricsOverheadBench) String() string {
-	return fmt.Sprintf("Metrics-plane overhead (disabled vs live registry, best of %d):\n  disabled %s | enabled %s | overhead %+.2f%%\n",
+	return fmt.Sprintf("Metrics-plane overhead (disabled vs live registry, %d paired runs):\n  disabled %s | enabled %s (best of each) | CPU overhead %+.2f%% (median pair)\n",
 		b.Reps, stats.Seconds(b.DisabledNS), stats.Seconds(b.EnabledNS), b.OverheadPct)
 }

@@ -66,8 +66,11 @@ type Plan struct {
 	// program with the same Plan see the same per-edge decision
 	// sequences.
 	Seed uint64
-	// PanicSparks are global spark indices (in spark-execution order
-	// per backend counter) whose executing thread panics.
+	// PanicSparks are global spark indices, in spark-creation order,
+	// whose evaluation panics: the backend fails the spark's thunk, so
+	// whichever thread runs it (a worker or, after a fizzle, the
+	// creator) dies. Creation order is program order whenever one
+	// thread creates the sparks, so the index replays exactly.
 	PanicSparks map[int64]bool
 	// PanicProcs are process/thread spawn indices whose body panics on
 	// entry.
@@ -221,7 +224,7 @@ func formatEdge(src, dst int) string {
 // Clauses are comma-separated key=value pairs:
 //
 //	seed=N            seed for all probabilistic decisions (default 1)
-//	panic-spark=K     panic the thread running global spark index K
+//	panic-spark=K     panic whichever thread evaluates the K-th spark created
 //	panic-proc=K      panic process/thread spawn index K on entry
 //	drop=P[@S-D]      drop matching messages with probability P;
 //	                  @S-D restricts to edge S→D, either side may be *
@@ -556,7 +559,7 @@ type Counts struct {
 // `if inj != nil`).
 type Injector struct {
 	plan  *Plan
-	spark atomic.Int64 // next spark index
+	spark atomic.Int64 // next spark-creation index
 	proc  atomic.Int64 // next process/thread index
 	// edgeSeq is the per-edge message sequence counter; keyed by
 	// src<<32|dst (src, dst < 2^31 in practice).
@@ -594,9 +597,9 @@ func (in *Injector) Counts() Counts {
 	}
 }
 
-// SparkFault advances the global spark counter and returns a non-nil
-// *InjectedPanic if the plan names this spark index. The caller panics
-// with the returned error.
+// SparkFault advances the global spark-creation counter and returns a
+// non-nil *InjectedPanic if the plan names this spark index. The caller
+// makes the spark's evaluation fail with the returned error.
 func (in *Injector) SparkFault() *InjectedPanic {
 	idx := in.spark.Add(1) - 1
 	if in.plan.PanicSparks[idx] {

@@ -45,6 +45,28 @@ func TestNativeInjectedSparkPanic(t *testing.T) {
 	}
 }
 
+func TestNativeSparkFaultFiresWhenSparkFizzles(t *testing.T) {
+	// With one worker nothing steals, so every spark fizzles and main
+	// evaluates each thunk itself. The spark index counts creations, so
+	// spark 2 still fails, on main instead of a stealer: the outcome is
+	// a property of the program, not of which sparks were converted.
+	cfg := NewConfig(1)
+	cfg.Faults = mustPlan(t, "seed=4,panic-spark=2")
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(cfg, euler.Program(400, 8, 0, true))
+		done <- err
+	}()
+	err := awaitRun(t, done)
+	var ip *faults.InjectedPanic
+	if !errors.As(err, &ip) || ip.Kind != "spark" || ip.Index != 2 || ip.Seed != 4 {
+		t.Fatalf("err = %v, want injected spark panic at index 2", err)
+	}
+	if c := cfg.Faults.Counts(); c.Panics != 1 {
+		t.Fatalf("Counts.Panics = %d, want 1", c.Panics)
+	}
+}
+
 func TestNativeInjectedProcPanic(t *testing.T) {
 	// Fork index 0 dies on entry; main blocked on the placeholder the
 	// fork was supposed to resolve must unwind with the injected error.

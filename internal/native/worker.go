@@ -289,6 +289,9 @@ func (c *Ctx) Par(t *graph.Thunk) {
 			return
 		}
 		w.ctr.sparksCreated++
+		if inj := w.rt.cfg.Faults; inj != nil {
+			c.doomSpark(inj, t)
+		}
 		w.pool.PushBottom(t)
 		// Dekker handshake with the park lot: the seq-cst push above
 		// (the deque's bottom store) is ordered before this load, and
@@ -312,10 +315,38 @@ func (c *Ctx) Par(t *graph.Thunk) {
 		return
 	}
 	ctr.sparksCreated.Add(1)
+	if inj := c.faults(); inj != nil {
+		c.doomSpark(inj, t)
+	}
 	if ev := c.ev; ev != nil {
 		ev.Emit(eventlog.SparkPush)
 	}
 	c.rt.pushInject(t, c.job)
+}
+
+// doomSpark is the cold half of the spark-panic hook, run as a spark
+// is created. If the plan names this creation index, the thunk is
+// poisoned with the injected panic before the spark is pushed, so
+// whichever thread evaluates it fails the same way: a worker that
+// converts the spark, or the creator forcing it after the spark
+// fizzled. Counting creations, not conversions, makes the index a
+// property of the program rather than of the schedule (fizzled sparks
+// never convert, so a conversion count varies from run to run).
+func (c *Ctx) doomSpark(inj *faults.Injector, t *graph.Thunk) {
+	f := inj.SparkFault()
+	if f == nil || !t.Poison(f) {
+		return
+	}
+	if pm := c.rt.pm; pm != nil {
+		id := 0
+		if c.w != nil {
+			id = c.w.id
+		}
+		pm.faultPanics.AddAt(id, 1)
+	}
+	if ev := c.events(); ev != nil {
+		ev.EmitArg(eventlog.FaultPanic, int32(f.Index))
+	}
 }
 
 // Force evaluates t to weak head normal form on this worker.
@@ -712,10 +743,9 @@ func (w *worker) sparkPanicErr(p any) error {
 	}
 }
 
-// injectSparkFaults is the cold half of the spark injection hook: a
-// stall sleep if the plan marks this worker slow, then an injected
-// panic if the plan names this spark index. Only converted sparks
-// advance the index (fizzles don't execute anything worth killing).
+// injectSparkFaults is the cold half of the spark-conversion hook: a
+// stall sleep if the plan marks this worker slow. (Spark panics are
+// injected at creation, by doomSpark.)
 func (w *worker) injectSparkFaults(inj *faults.Injector) {
 	if d := inj.StallDur(w.id); d > 0 {
 		inj.NoteStall()
@@ -729,15 +759,6 @@ func (w *worker) injectSparkFaults(inj *faults.Injector) {
 		if w.ev != nil {
 			w.ev.Emit(eventlog.StallEnd)
 		}
-	}
-	if f := inj.SparkFault(); f != nil {
-		if pm := w.rt.pm; pm != nil {
-			pm.faultPanics.AddAt(w.id, 1)
-		}
-		if w.ev != nil {
-			w.ev.EmitArg(eventlog.FaultPanic, int32(f.Index))
-		}
-		panic(f)
 	}
 }
 

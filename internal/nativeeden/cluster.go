@@ -42,8 +42,6 @@ import (
 	"parhask/internal/eden"
 	"parhask/internal/eden/wire"
 	"parhask/internal/eventlog"
-	"parhask/internal/faults"
-	"parhask/internal/graph"
 )
 
 // ClusterSpec places one process inside a multi-process Eden cluster.
@@ -145,8 +143,8 @@ func (r *RTS) owned(pe int) bool {
 }
 
 // ensureCell returns the channel's cell, creating it if this is the
-// first touch (replay, delivery and receive race benignly; whoever is
-// first installs the placeholder). Caller holds p.mu.
+// first touch (creation, delivery and receive race benignly; whoever
+// is first installs the placeholder). Caller holds p.mu.
 func (p *peRT) ensureCell(id int64, origin int) *cellState {
 	c := p.cells[id]
 	if c == nil {
@@ -167,18 +165,16 @@ func (p *peRT) ensureStream(id int64, origin int) *streamState {
 	return st
 }
 
-// Deliver applies one remote message to its locally-owned destination
-// PE: decode into a fresh heap, ensure the cell or stream, resolve,
-// broadcast. Called by the transport's reader goroutine; safe against
-// the PE's own threads (it takes the PE lock) and never panics — a
-// malformed or impossible message comes back as a structured error for
-// the worker to report.
-func (r *RTS) Deliver(kind MsgKind, chanID int64, src, dst int, payload []byte) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = panicErr(fmt.Sprintf("nativeeden: delivery to chan %d on PE %d failed", chanID, dst), v)
-		}
-	}()
+// Deliver hands one remote message to its locally-owned destination
+// PE: decode into a fresh heap and post it to the PE's inbox, where the
+// PE's own threads apply it (ensure the cell or stream, resolve) at
+// their next scheduling point. Called by the transport's reader
+// goroutine; it takes no PE lock, so it never waits on a computing PE
+// and the reader stays free to answer heartbeats. A malformed message
+// comes back as a structured error for the worker to report; one that
+// cannot be applied (a stream closed twice) fails the run when the PE
+// applies it.
+func (r *RTS) Deliver(kind MsgKind, chanID int64, src, dst int, payload []byte) error {
 	if r.failed.Load() {
 		// The run already failed or drained: late frames (a reconnect
 		// replay, stragglers routed before the coordinator saw the
@@ -188,105 +184,31 @@ func (r *RTS) Deliver(kind MsgKind, chanID int64, src, dst int, payload []byte) 
 	if dst < 0 || dst >= len(r.pes) || r.pes[dst] == nil {
 		return fmt.Errorf("nativeeden: delivery to PE %d, which rank %d does not own", dst, r.cfg.Cluster.Rank)
 	}
-	d := r.pes[dst]
-	var msg graph.Value
-	var bytes int64
-	if kind == MsgStreamClose {
-		bytes = 16 // a Nil packs as one word, matching StreamClose
-	} else {
-		v, derr := wire.Decode(payload)
-		if derr != nil {
-			return fmt.Errorf("nativeeden: decode for chan %d (PE %d from PE %d): %w", chanID, dst, src, derr)
-		}
-		msg = v
-		bytes = int64(len(payload))
-	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	dl := delivery{kind: kind, id: chanID, src: src}
 	switch kind {
-	case MsgChanSend:
-		cell := d.ensureCell(chanID, src)
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
+	case MsgChanSend, MsgStreamSend:
+		v, err := wire.Decode(payload)
+		if err != nil {
+			return fmt.Errorf("nativeeden: decode for chan %d (PE %d from PE %d): %w", chanID, dst, src, err)
 		}
-		cell.t.Resolve(msg)
-		d.cond.Broadcast()
-	case MsgStreamSend:
-		bytes += eden.ConsOverhead
-		st := d.ensureStream(chanID, src)
-		if st.cancelled {
-			return nil // receiver cancelled; late elements vanish silently
+		dl.msg, dl.bytes = v, int64(len(payload))
+		if kind == MsgStreamSend {
+			dl.bytes += eden.ConsOverhead
 		}
-		if st.tail == nil {
-			return fmt.Errorf("nativeeden: stream %d on PE %d already closed (element from PE %d)", chanID, dst, src)
-		}
-		next := d.arena.NewPlaceholder()
-		cur := st.tail
-		st.tail = next
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cur.Resolve(eden.Cons{Head: msg, Tail: next})
-		d.cond.Broadcast()
 	case MsgStreamClose:
-		st := d.ensureStream(chanID, src)
-		if st.cancelled {
-			return nil
-		}
-		if st.tail == nil {
-			return fmt.Errorf("nativeeden: stream %d on PE %d closed twice (close from PE %d)", chanID, dst, src)
-		}
-		cur := st.tail
-		st.tail = nil
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cur.Resolve(eden.Nil{})
-		d.cond.Broadcast()
+		dl.bytes = closeBytes
 	default:
 		return fmt.Errorf("nativeeden: unknown cluster message kind %d", kind)
 	}
+	r.pes[dst].post(dl)
 	return nil
 }
 
-// sendRemote is the cross-process half of Send/StreamSend/StreamClose:
-// encode (the byte count is asserted equal to eden.SizeOfChecked inside
-// wire.Encode), count, inject message faults, then ship through the
-// transport with this PE's lock released — the write may block on a
-// real socket, and transport is a yield point exactly like withPE.
-// extra is the non-payload charge (ConsOverhead for a stream element,
-// the 16-byte Nil for a close).
-func (p *PCtx) sendRemote(op string, kind MsgKind, id int64, dest int, nf graph.Value, extra int64) {
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommBegin)
-	}
-	var payload []byte
-	if kind != MsgStreamClose {
-		var err error
-		payload, err = wire.Encode(nf)
-		if err != nil {
-			panic(&eden.SendError{Op: op, Chan: id, PE: p.pe.id, Dest: dest, Err: err})
-		}
-	}
-	bytes := int64(len(payload)) + extra
-	p.pe.ctr.MsgsSent++
-	p.pe.ctr.BytesSent += bytes
-	if p.pe.ev != nil {
-		p.pe.ev.EmitArg(eventlog.MsgSend, int32(dest))
-	}
-	if p.rts.cfg.Faults != nil && p.injectSendFaults(dest) == faults.Drop {
-		if p.pe.ev != nil {
-			p.pe.ev.Emit(eventlog.CommEnd)
-		}
-		return
-	}
+// sendRemote ships one packed and counted message to the process
+// owning dest, with this PE's lock released — the socket write may
+// block, so a cross-process send is a yield point for this PE's
+// sibling threads.
+func (p *PCtx) sendRemote(op string, kind MsgKind, id int64, dest int, payload []byte) {
 	tr := p.rts.cfg.Cluster.Transport
 	src := p.pe.id
 	p.pe.mu.Unlock()
@@ -296,9 +218,6 @@ func (p *PCtx) sendRemote(op string, kind MsgKind, id int64, dest int, nf graph.
 		// A severed link surfaces as the ordinary structured send error
 		// with the transport failure as its cause.
 		panic(&eden.SendError{Op: op, Chan: id, PE: src, Dest: dest, Err: err})
-	}
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommEnd)
 	}
 }
 
@@ -311,10 +230,10 @@ func (p *PCtx) parkForever() {
 		p.pe.ev.Emit(eventlog.BlockBegin)
 	}
 	for {
+		// Keep applying this PE's inbox: the shadow root may be the only
+		// thread on it.
+		p.pe.drain()
 		p.pe.checkFailed()
-		p.rts.blocked.Add(1)
-		p.pe.cond.Wait()
-		p.rts.blocked.Add(-1)
-		p.rts.progress.Add(1)
+		p.pe.wait()
 	}
 }

@@ -12,14 +12,23 @@
 //   - One goroutine per Eden thread; each thread belongs to exactly one
 //     PE. A PE is a big lock (mutex + condvar): a thread holds its PE's
 //     mutex for its entire execution and releases it only while blocked
-//     on a placeholder (cond.Wait) or during message transport. Threads
-//     of one PE therefore interleave only at communication and blocking
-//     points — the same granularity as the simulator, which is what
-//     makes the skeletons' plain shared-state mutations (e.g. the
-//     master-worker coordination state) safe unchanged. Virtual PEs
-//     beyond GOMAXPROCS are just goroutines; the Go scheduler
-//     timeslices them the way the OS timesliced the paper's 9- and
-//     17-PE PVM runs on 8 cores.
+//     on a placeholder or during a cross-process send. Threads of one
+//     PE therefore interleave only at blocking points — the same
+//     granularity as the simulator, which is what makes the skeletons'
+//     plain shared-state mutations (e.g. the master-worker
+//     coordination state) safe unchanged. Virtual PEs beyond
+//     GOMAXPROCS are just goroutines; the Go scheduler timeslices them
+//     the way the OS timesliced the paper's 9- and 17-PE PVM runs on 8
+//     cores.
+//   - A thread only ever holds its own PE's lock. Every PE has an inbox
+//     (a mutex-guarded FIFO and a condition variable on that mutex,
+//     inbox.go):
+//     a sender posts the copied message there and returns, and the
+//     receiving PE's own threads apply their inbox under their own lock
+//     at their scheduling points — before every wait, on wake-up, and
+//     at thread exit. A send therefore never waits for the receiver to
+//     stop computing, and the cluster transport's reader posts remote
+//     messages the same way.
 //   - No shared graph between PEs. Every value sent over a channel is
 //     reduced to normal form, measured with the simulator's packing
 //     model (eden.SizeOfChecked), and deep-copied before it is resolved
@@ -28,13 +37,13 @@
 //     channel id; ports are plain {id, pe} value structs, so shipping a
 //     port ships no heap.
 //   - Inports are heap placeholders (graph.NewPlaceholder): a thread
-//     forcing one blocks on its PE's condvar until the message lands
-//     and the deliverer broadcasts.
+//     forcing one waits until its PE applies the message that fills it.
 //   - Each PE owns a graph.Arena for its thunk allocation and a
-//     wall-clock eventlog buffer; sends and receives emit
-//     MsgSend/MsgRecv under CommBegin/CommEnd brackets, so the drained
-//     log renders EdenTV-style per-PE timelines with message overlays
-//     through the same exporters as the GpH runtimes.
+//     wall-clock eventlog buffer; a send emits MsgSend under
+//     CommBegin/CommEnd brackets and the receiver emits MsgRecv when it
+//     applies the message, so the drained log renders EdenTV-style
+//     per-PE timelines with message overlays through the same
+//     exporters as the GpH runtimes.
 //
 // Go's garbage collector remains global — per-PE *independent* GC is a
 // property this backend cannot reproduce honestly, so the telemetry
@@ -205,13 +214,20 @@ func (r *Result) Report() Report {
 var errAborted = errors.New("nativeeden: run aborted")
 
 // peRT is one processing element: the big lock its threads serialise
-// on, its private heap machinery, and its owner-written counters
-// (owner = whichever thread currently holds mu).
+// on, its inbox, its private heap machinery, and its owner-written
+// counters (owner = whichever thread currently holds mu).
 type peRT struct {
-	id   int
-	rts  *RTS
-	mu   sync.Mutex
-	cond *sync.Cond
+	id  int
+	rts *RTS
+	mu  sync.Mutex
+
+	// inbox holds deliveries posted by other PEs' threads and the
+	// cluster reader, in arrival order; guarded by inboxMu, never by
+	// mu. wake (on inboxMu) is where this PE's threads wait. See
+	// inbox.go.
+	inboxMu sync.Mutex
+	inbox   []delivery
+	wake    *sync.Cond
 
 	// arena is this PE's thunk allocation region. Guarded by mu.
 	arena *graph.Arena
@@ -232,8 +248,9 @@ type peRT struct {
 	ctr PEStats
 
 	// ev is this PE's wall-clock event ring (nil when disabled). All
-	// emissions happen under mu, which serialises the PE's threads, so
-	// the buffer's single-writer discipline holds.
+	// emissions happen under mu, which serialises the PE's threads
+	// (receives included: the PE applies its own inbox), so the
+	// buffer's single-writer discipline holds.
 	ev *eventlog.Buf
 }
 
@@ -277,10 +294,11 @@ type RTS struct {
 
 	// Watchdog bookkeeping. alive counts threads that have been spawned
 	// and not yet exited; blocked counts threads currently inside
-	// cond.Wait; progress increments on every wait return. Global
-	// quiescence — alive > 0, blocked == alive, and all three stable
-	// across watchdog ticks — is a deadlock: every live thread waits on
-	// a placeholder no runnable thread can fill.
+	// peRT.wait; progress increments on every wait return. Global
+	// quiescence — alive > 0, blocked == alive, all three stable across
+	// watchdog ticks, and every inbox empty — is a deadlock: every live
+	// thread waits on a placeholder no runnable thread can fill, and no
+	// message is left to fill it.
 	alive    atomic.Int64
 	blocked  atomic.Int64
 	progress atomic.Uint64
@@ -355,7 +373,7 @@ func newPE(id, arenaChunk int) *peRT {
 		streams:   map[int64]*streamState{},
 		blockedOn: map[*PCtx]faults.BlockedThread{},
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.wake = sync.NewCond(&p.inboxMu)
 	return p
 }
 
@@ -380,12 +398,8 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 			if p == nil {
 				continue
 			}
-			// Publish the ring under the PE lock: in cluster mode the
-			// transport reader is already live and Deliver checks p.ev
-			// (under the same lock) to decide whether to emit MsgRecv.
-			// A frame that lands before this sees nil and goes unlogged,
-			// which is fine — but the pointer itself must not tear.
-			p.mu.Lock()
+			// No thread runs yet, and the cluster transport reader only
+			// posts to the inbox, so the ring is ours to set up.
 			p.ev = r.events.Buf(li)
 			li++
 			if p.id == 0 && cfg.TraceID != 0 {
@@ -398,7 +412,6 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 			// bracket each thread's Run brackets nest inside. Emitted here,
 			// before any thread exists, so the single-writer rule holds.
 			p.ev.Emit(eventlog.IdleBegin)
-			p.mu.Unlock()
 		}
 	}
 
@@ -447,9 +460,7 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 			p0.ev.Emit(eventlog.RunBegin)
 		}
 		value = main(c0)
-		if p0.ev != nil {
-			p0.ev.Emit(eventlog.RunEnd)
-		}
+		c0.end()
 		return nil
 	}()
 	if runErr != nil {
@@ -470,6 +481,21 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 	if runErr == nil {
 		runErr = r.err
 	}
+	// Every thread has joined, so the PEs are the run's own. Apply the
+	// deliveries no thread was left to apply (a message to a PE whose
+	// threads had all exited) so the per-PE receive counters see every
+	// message. A failed run's leftovers die with its heap; a drained
+	// cluster member's are applied, as its reader delivered them.
+	if runErr == nil || errors.Is(runErr, ErrDrained) {
+		for _, p := range r.pes {
+			if p != nil {
+				p.drain()
+			}
+		}
+		if runErr == nil {
+			runErr = r.err
+		}
+	}
 
 	res := &Result{Value: value, WallNS: wall.Nanoseconds(), PEs: cfg.PEs}
 	res.GC = GCStats{
@@ -484,15 +510,10 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 		if p == nil {
 			continue // remote PE (cluster mode); its owner reports it
 		}
-		// The WaitGroup barrier orders every PE-thread write before this,
-		// but in cluster mode Deliver runs on the transport reader — a
-		// late frame (reconnect replay, a straggler routed before the
-		// coordinator saw our report) can still touch ctr and the arena.
-		// The PE lock covers that writer.
-		p.mu.Lock()
+		// The WaitGroup barrier orders every PE-thread write before this;
+		// a late cluster frame only reaches the inbox.
 		ps := p.ctr
 		ps.ArenaChunks, ps.ArenaThunks = p.arena.Stats()
-		p.mu.Unlock()
 		res.PerPE[i] = ps
 		res.Stats.Messages += ps.MsgsSent
 		res.Stats.BytesSent += ps.BytesSent
@@ -563,7 +584,7 @@ func (r *RTS) watchdog(start time.Time, stop chan struct{}) {
 			return
 		}
 		a, b, pr := r.alive.Load(), r.blocked.Load(), r.progress.Load()
-		if a > 0 && b == a && a == lastAlive && b == lastBlocked && pr == lastProgress {
+		if a > 0 && b == a && a == lastAlive && b == lastBlocked && pr == lastProgress && r.inboxesEmpty() {
 			stable++
 			if stable >= stableTicks {
 				r.fail(r.deadlockError("quiescence", elapsed))
@@ -576,9 +597,21 @@ func (r *RTS) watchdog(start time.Time, stop chan struct{}) {
 	}
 }
 
+// inboxesEmpty reports whether every local PE has applied everything
+// posted to it: a queued message may still fill a parked thread's
+// placeholder, so a run with one is not quiescent.
+func (r *RTS) inboxesEmpty() bool {
+	for _, p := range r.pes {
+		if p != nil && !p.inboxEmpty() {
+			return false
+		}
+	}
+	return true
+}
+
 // deadlockError collects per-PE blocked-on diagnostics. TryLock, not
 // Lock: on the quiescence path every PE lock is free (all threads are
-// in cond.Wait), but on the deadline path a long-running mutator may
+// in peRT.wait), but on the deadline path a long-running mutator may
 // hold its PE for its whole execution — report that PE as busy rather
 // than hang the watchdog behind it.
 func (r *RTS) deadlockError(reason string, elapsed time.Duration) *faults.DeadlockError {
@@ -608,17 +641,16 @@ func (r *RTS) deadlockError(reason string, elapsed time.Duration) *faults.Deadlo
 }
 
 // fail records the first thread failure and wakes every blocked thread
-// so the run unwinds instead of hanging.
+// so the run unwinds instead of hanging. It takes no PE lock, so any
+// thread — or the cluster reader — may call it, holding its own lock
+// or none.
 func (r *RTS) fail(err error) {
 	r.errOnce.Do(func() { r.err = err })
 	r.failed.Store(true)
 	for _, p := range r.pes {
-		if p == nil {
-			continue
+		if p != nil {
+			p.notify()
 		}
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
 	}
 }
 
@@ -634,10 +666,10 @@ func (p *peRT) checkFailed() {
 // startThread runs body as a new Eden thread on this PE. The recover
 // handler is registered before the lock is taken so that, on panic,
 // the unlock (deferred later, hence run earlier) has already released
-// the PE before fail() tries to lock every PE. alive is incremented
-// here, synchronously, so the watchdog counts a spawned-but-not-yet-
-// scheduled thread as live-and-runnable rather than seeing a
-// transiently quiescent system.
+// the PE before the claims are poisoned and the run fails. alive is
+// incremented here, synchronously, so the watchdog counts a
+// spawned-but-not-yet-scheduled thread as live-and-runnable rather
+// than seeing a transiently quiescent system.
 func (r *RTS) startThread(p *peRT, name string, body func(*PCtx)) {
 	r.wg.Add(1)
 	r.threads.Add(1)
@@ -693,7 +725,7 @@ func (r *RTS) startSupervised(p *peRT, name string, done Outport, body func(*PCt
 					// The deferred unlock already ran; wake siblings that
 					// may be blocked on the freshly poisoned thunks.
 					p.mu.Lock()
-					p.cond.Broadcast()
+					p.notify()
 					p.mu.Unlock()
 					failure = &pe.ThreadFailure{PE: p.id, Name: name, Err: err.Error()}
 				}

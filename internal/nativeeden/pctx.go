@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"parhask/internal/eden"
+	"parhask/internal/eden/wire"
 	"parhask/internal/eventlog"
 	"parhask/internal/faults"
 	"parhask/internal/graph"
@@ -13,8 +14,9 @@ import (
 
 // PCtx is the native backend's pe.Ctx: the context an Eden thread runs
 // against. The thread holds its PE's mutex for its entire execution —
-// every method below may assume the lock is held, and the blocking and
-// transport operations are the only places it is released.
+// every method below may assume the lock is held, and waiting, injected
+// message delays and cross-process sends are the only places it is
+// released. It never takes another PE's lock.
 type PCtx struct {
 	rts  *RTS
 	pe   *peRT
@@ -54,11 +56,14 @@ func (p *PCtx) begin() {
 	}
 }
 
-// end is the thread epilogue (still under the PE lock).
+// end is the thread epilogue (still under the PE lock). The exiting
+// thread applies what its PE was sent meanwhile, so the deliveries do
+// not wait for a sibling's next scheduling point.
 func (p *PCtx) end() {
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.RunEnd)
 	}
+	p.pe.drain()
 }
 
 // injectThreadStart applies thread-start faults: a stalled PE sleeps
@@ -185,21 +190,23 @@ func (p *PCtx) NoteReleased(t *graph.Thunk) {
 }
 
 // WakeThunkWaiters wakes the PE's blocked threads after an update.
-func (p *PCtx) WakeThunkWaiters(t *graph.Thunk) { p.pe.cond.Broadcast() }
+func (p *PCtx) WakeThunkWaiters(t *graph.Thunk) { p.pe.notify() }
 
-// BlockOnThunk suspends the thread on its PE's condvar until t is
-// Evaluated (or Poisoned — graph.Force then raises the poison): the
-// wait releases the PE lock, so sibling threads run — the big-lock
-// analogue of the simulator's thread descheduling. The watchdog's
-// blocked/progress counters bracket each wait, and the blocked-on
-// record (what channel or stream this placeholder anchors, and which
-// peer was expected to fill it) is published for deadlock diagnostics.
+// BlockOnThunk suspends the thread until t is Evaluated (or Poisoned —
+// graph.Force then raises the poison), applying the PE's inbox before
+// every wait and after every wake-up: the message that fills t arrives
+// that way. The wait releases the PE lock, so sibling threads run —
+// the big-lock analogue of the simulator's thread descheduling. The
+// blocked-on record (what channel or stream this placeholder anchors,
+// and which peer was expected to fill it) is published for deadlock
+// diagnostics.
 func (p *PCtx) BlockOnThunk(t *graph.Thunk) {
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.BlockBegin)
 	}
 	noted := false
 	for {
+		p.pe.drain()
 		if s := t.State(); s == graph.Evaluated || s == graph.Poisoned {
 			break
 		}
@@ -208,10 +215,7 @@ func (p *PCtx) BlockOnThunk(t *graph.Thunk) {
 			noted = true
 			p.pe.blockedOn[p] = p.blockedRecord(t)
 		}
-		p.rts.blocked.Add(1)
-		p.pe.cond.Wait()
-		p.rts.blocked.Add(-1)
-		p.rts.progress.Add(1)
+		p.pe.wait()
 	}
 	if noted {
 		delete(p.pe.blockedOn, p)
@@ -272,7 +276,8 @@ func (p *PCtx) norm(dest int) int {
 }
 
 // Spawn instantiates a process on PE dest: a new thread (goroutine)
-// whose execution serialises on the destination PE's lock. In cluster
+// whose execution serialises on the destination PE's lock — the new
+// thread's own lock; the caller never takes it. In cluster
 // mode a spawn onto a remote PE is the SPMD no-op for the root thread
 // — every rank replays main, and the rank owning dest instantiates the
 // thread there — and unsupported elsewhere (non-root threads do not
@@ -336,6 +341,7 @@ func (p *PCtx) CancelStream(in pe.StreamIn) {
 	if i.pe != p.pe.id {
 		panic(&eden.ChanMisuseError{Op: "CancelStream", Chan: i.id, PE: p.pe.id, Owner: i.pe, Reason: "cross-pe"})
 	}
+	p.pe.drain() // the stream's installation may still be in the inbox
 	st := p.pe.streams[i.id]
 	if st == nil {
 		return // never existed or already torn down: cancel is idempotent
@@ -344,46 +350,37 @@ func (p *PCtx) CancelStream(in pe.StreamIn) {
 	if st.tail != nil {
 		st.tail.Resolve(eden.Nil{})
 		st.tail = nil
-		p.pe.cond.Broadcast()
+		p.pe.notify()
 	}
 }
 
-// withPE runs f with dest's lock held (and, if dest is remote, this
-// thread's own PE lock released — at most one PE lock is ever held, so
-// transport cannot deadlock on lock order). Remote transport is thus a
-// yield point for the sibling threads of this PE, matching the
-// simulator's context-switch-at-communication granularity.
-func (p *PCtx) withPE(dest int, f func(d *peRT)) {
+// deliver hands dl to PE dest. On the thread's own PE it is applied at
+// once (the lock is already held, and a misuse panics in the sender, as
+// a local error should); any other PE gets it in its inbox.
+func (p *PCtx) deliver(dest int, dl delivery) {
 	d := p.rts.pes[dest]
-	if d == p.pe {
-		f(d)
+	if d != p.pe {
+		d.post(dl)
 		return
 	}
-	p.pe.mu.Unlock()
-	d.mu.Lock()
-	defer func() {
-		d.mu.Unlock()
-		p.pe.mu.Lock()
-	}()
-	f(d)
+	if err := d.apply(dl); err != nil {
+		panic(err)
+	}
+	d.notify()
 }
 
 // --- one-value channels ---
 
 // NewChan creates a one-value channel whose receiving end (a heap
-// placeholder) lives on PE dest. In cluster mode the cell is installed
-// only when dest is local — ensure-on-first-touch, because a message
-// may already have been delivered into it before this (replayed)
-// creation runs; a remote owner's own replay, delivery, or receive
-// installs it there.
+// placeholder) lives on PE dest. The cell is installed on first touch:
+// by this creation (through dest's inbox), by the first delivery, or by
+// the owner's receive, whichever dest applies first. In cluster mode a
+// remote owner's own replay, delivery, or receive installs it there.
 func (p *PCtx) NewChan(dest int) (pe.Inport, pe.Outport) {
 	dest = p.norm(dest)
 	id := p.rts.newChanID(p.isRoot)
-	origin := p.PE()
 	if p.rts.owned(dest) {
-		p.withPE(dest, func(d *peRT) {
-			d.ensureCell(id, origin)
-		})
+		p.deliver(dest, delivery{kind: installChan, id: id, src: p.PE()})
 	}
 	return Inport{id: id, pe: dest}, Outport{id: id, dest: dest}
 }
@@ -428,55 +425,62 @@ func (p *PCtx) injectSendFaults(dst int) faults.Fate {
 }
 
 // Send reduces v to normal form, packs it (charging the same size model
-// as the simulator), deep-copies it, and resolves the destination PE's
-// placeholder with the copy. A normal-form violation panics with the
-// same structured *eden.SendError the simulator raises.
+// as the simulator), deep-copies it, and hands the copy to the
+// destination PE, which resolves its placeholder with it. A normal-form
+// violation panics with the same structured *eden.SendError the
+// simulator raises.
 func (p *PCtx) Send(out pe.Outport, v graph.Value) {
 	o := out.(Outport)
 	if p.shadow {
 		return // rank 0's real root does the real send
 	}
-	nf := p.ForceDeep(v)
-	if !p.rts.owned(o.dest) {
-		p.sendRemote("Send", MsgChanSend, o.id, o.dest, nf, 0)
-		return
-	}
+	p.transmit("Send", MsgChanSend, o.id, o.dest, p.ForceDeep(v), 0)
+}
+
+// transmit is the sending half shared by Send, StreamSend and
+// StreamClose: pack (copy in process, wire-encode across processes),
+// count, inject message faults, then hand the message over. extra is
+// the non-payload charge (ConsOverhead for a stream element, the Nil
+// for a close, which has no payload).
+func (p *PCtx) transmit(op string, kind MsgKind, id int64, dest int, nf graph.Value, extra int64) {
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.CommBegin)
 	}
-	bytes, err := eden.SizeOfChecked(nf)
-	var msg graph.Value
-	if err == nil {
-		msg, err = copyForSend(nf)
+	remote := !p.rts.owned(dest)
+	var (
+		msg     graph.Value
+		payload []byte
+		bytes   int64
+		err     error
+	)
+	switch {
+	case kind == MsgStreamClose: // no payload
+	case remote:
+		// wire.Encode asserts the byte count equals eden.SizeOfChecked.
+		payload, err = wire.Encode(nf)
+		bytes = int64(len(payload))
+	default:
+		bytes, err = eden.SizeOfChecked(nf)
+		if err == nil {
+			msg, err = copyForSend(nf)
+		}
 	}
 	if err != nil {
-		panic(&eden.SendError{Op: "Send", Chan: o.id, PE: p.pe.id, Dest: o.dest, Err: err})
+		panic(&eden.SendError{Op: op, Chan: id, PE: p.pe.id, Dest: dest, Err: err})
 	}
+	bytes += extra
 	p.pe.ctr.MsgsSent++
 	p.pe.ctr.BytesSent += bytes
 	if p.pe.ev != nil {
-		p.pe.ev.EmitArg(eventlog.MsgSend, int32(o.dest))
+		p.pe.ev.EmitArg(eventlog.MsgSend, int32(dest))
 	}
-	if p.rts.cfg.Faults != nil && p.injectSendFaults(o.dest) == faults.Drop {
-		if p.pe.ev != nil {
-			p.pe.ev.Emit(eventlog.CommEnd)
+	if p.rts.cfg.Faults == nil || p.injectSendFaults(dest) != faults.Drop {
+		if remote {
+			p.sendRemote(op, kind, id, dest, payload)
+		} else {
+			p.deliver(dest, delivery{kind: kind, id: id, src: p.pe.id, bytes: bytes, msg: msg})
 		}
-		return
 	}
-	src := p.pe.id
-	p.withPE(o.dest, func(d *peRT) {
-		cell, ok := d.cells[o.id]
-		if !ok {
-			panic(&eden.ChanMisuseError{Op: "Send", Chan: o.id, PE: src, Owner: o.dest, Reason: "unknown-channel"})
-		}
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cell.t.Resolve(msg)
-		d.cond.Broadcast()
-	})
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.CommEnd)
 	}
@@ -493,6 +497,7 @@ func (p *PCtx) Receive(in pe.Inport) graph.Value {
 	if i.pe != p.pe.id {
 		panic(&eden.ChanMisuseError{Op: "Receive", Chan: i.id, PE: p.pe.id, Owner: i.pe, Reason: "cross-pe"})
 	}
+	p.pe.drain() // the channel's installation may still be in the inbox
 	cell, ok := p.pe.cells[i.id]
 	if !ok {
 		if p.rts.cfg.Cluster != nil {
@@ -515,120 +520,36 @@ func (p *PCtx) Receive(in pe.Inport) graph.Value {
 // --- stream channels (top-level lists, sent element by element) ---
 
 // NewStream creates a stream channel whose receiving end lives on PE
-// dest: a placeholder chain anchored in the destination's registry.
-// Cluster placement follows NewChan: local owners ensure, remote
-// owners install on their own first touch.
+// dest: a placeholder chain anchored in the destination's registry,
+// installed on first touch exactly like NewChan's cell.
 func (p *PCtx) NewStream(dest int) (pe.StreamIn, pe.StreamOut) {
 	dest = p.norm(dest)
 	id := p.rts.newChanID(p.isRoot)
-	origin := p.PE()
 	if p.rts.owned(dest) {
-		p.withPE(dest, func(d *peRT) {
-			d.ensureStream(id, origin)
-		})
+		p.deliver(dest, delivery{kind: installStream, id: id, src: p.PE()})
 	}
 	return StreamIn{id: id, pe: dest}, StreamOut{id: id, dest: dest}
 }
 
-// StreamSend transmits one element as its own message: the current
-// tail placeholder resolves to a Cons of the copied element and a
-// fresh placeholder for the rest of the stream.
+// StreamSend transmits one element as its own message: the receiver
+// resolves the stream's current tail placeholder to a Cons of the
+// copied element and a fresh placeholder for the rest of the stream.
 func (p *PCtx) StreamSend(out pe.StreamOut, v graph.Value) {
 	o := out.(StreamOut)
 	if p.shadow {
 		return
 	}
-	nf := p.ForceDeep(v)
-	if !p.rts.owned(o.dest) {
-		p.sendRemote("StreamSend", MsgStreamSend, o.id, o.dest, nf, eden.ConsOverhead)
-		return
-	}
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommBegin)
-	}
-	bytes, err := eden.SizeOfChecked(nf)
-	var msg graph.Value
-	if err == nil {
-		msg, err = copyForSend(nf)
-	}
-	if err != nil {
-		panic(&eden.SendError{Op: "StreamSend", Chan: o.id, PE: p.pe.id, Dest: o.dest, Err: err})
-	}
-	bytes += eden.ConsOverhead
-	p.pe.ctr.MsgsSent++
-	p.pe.ctr.BytesSent += bytes
-	if p.pe.ev != nil {
-		p.pe.ev.EmitArg(eventlog.MsgSend, int32(o.dest))
-	}
-	if p.rts.cfg.Faults != nil && p.injectSendFaults(o.dest) == faults.Drop {
-		if p.pe.ev != nil {
-			p.pe.ev.Emit(eventlog.CommEnd)
-		}
-		return
-	}
-	src := p.pe.id
-	p.withPE(o.dest, func(d *peRT) {
-		st := d.streams[o.id]
-		if st != nil && st.cancelled {
-			return // supervisor cancelled the stream; late sends vanish
-		}
-		if st == nil || st.tail == nil {
-			panic(&eden.ChanMisuseError{Op: "StreamSend", Chan: o.id, PE: src, Owner: o.dest, Reason: "closed-or-unknown-stream"})
-		}
-		next := d.arena.NewPlaceholder()
-		cur := st.tail
-		st.tail = next
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cur.Resolve(eden.Cons{Head: msg, Tail: next})
-		d.cond.Broadcast()
-	})
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommEnd)
-	}
+	p.transmit("StreamSend", MsgStreamSend, o.id, o.dest, p.ForceDeep(v), eden.ConsOverhead)
 }
 
-// StreamClose terminates the stream (one Nil message).
+// StreamClose terminates the stream (one Nil message). It travels the
+// same FIFO as the elements, so it never overtakes them.
 func (p *PCtx) StreamClose(out pe.StreamOut) {
 	o := out.(StreamOut)
 	if p.shadow {
 		return
 	}
-	if !p.rts.owned(o.dest) {
-		p.sendRemote("StreamClose", MsgStreamClose, o.id, o.dest, nil, 16)
-		return
-	}
-	const bytes = 16 // a Nil packs as one word, like the simulator's
-	p.pe.ctr.MsgsSent++
-	p.pe.ctr.BytesSent += bytes
-	if p.pe.ev != nil {
-		p.pe.ev.EmitArg(eventlog.MsgSend, int32(o.dest))
-	}
-	if p.rts.cfg.Faults != nil && p.injectSendFaults(o.dest) == faults.Drop {
-		return
-	}
-	src := p.pe.id
-	p.withPE(o.dest, func(d *peRT) {
-		st := d.streams[o.id]
-		if st != nil && st.cancelled {
-			return // already terminated by the supervisor
-		}
-		if st == nil || st.tail == nil {
-			panic(&eden.ChanMisuseError{Op: "StreamClose", Chan: o.id, PE: src, Owner: o.dest, Reason: "closed-or-unknown-stream"})
-		}
-		cur := st.tail
-		st.tail = nil
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cur.Resolve(eden.Nil{})
-		d.cond.Broadcast()
-	})
+	p.transmit("StreamClose", MsgStreamClose, o.id, o.dest, nil, closeBytes)
 }
 
 // StreamRecv receives the next element, blocking until it arrives; ok
@@ -642,6 +563,7 @@ func (p *PCtx) StreamRecv(in pe.StreamIn) (graph.Value, bool) {
 	if i.pe != p.pe.id {
 		panic(&eden.ChanMisuseError{Op: "StreamRecv", Chan: i.id, PE: p.pe.id, Owner: i.pe, Reason: "cross-pe"})
 	}
+	p.pe.drain() // the stream's installation may still be in the inbox
 	st := p.pe.streams[i.id]
 	if st == nil {
 		if p.rts.cfg.Cluster != nil {
@@ -696,7 +618,7 @@ func (p *PCtx) LocalResolve(cell *graph.Thunk, v graph.Value) {
 		return
 	}
 	cell.Resolve(v)
-	p.pe.cond.Broadcast()
+	p.pe.notify()
 }
 
 // Await forces a local placeholder, blocking until it is filled. A

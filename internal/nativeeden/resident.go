@@ -42,10 +42,10 @@ type JobConfig struct {
 // mutex.
 //
 // Between jobs the lane rewinds each PE's arena and clears its channel
-// registries. The previous job's threads have all exited by then (the
-// run joins them), and its Result carries only deep-copied plain
-// values, so no pre-reset thunk is reachable — the Arena.Reset
-// contract. A Result's Value must be consumed (or copied) before the
+// registries and its inbox. The previous job's threads have all exited
+// by then (the run joins them), and its Result carries only
+// deep-copied plain values, so no pre-reset thunk is reachable — the
+// Arena.Reset contract. A Result's Value must be consumed (or copied) before the
 // next RunJob on the same lane.
 type Resident struct {
 	cfg Config
@@ -135,7 +135,10 @@ func (l *Resident) RunJob(jc JobConfig, main pe.Program) (*Result, error) {
 	for _, p := range l.pes {
 		p.rts = r
 		// The previous job's threads joined before its run returned, so
-		// nothing reaches the old arena slots or registry entries.
+		// nothing reaches the old arena slots or registry entries. A
+		// failed job leaves its inbox unapplied; those deliveries belong
+		// to the dead heap and must never reach this job.
+		p.resetInbox()
 		p.arena.Reset()
 		clear(p.cells)
 		clear(p.streams)

@@ -95,19 +95,25 @@ func FloydWarshall(g Graph) Graph {
 // UpdateRow computes one Floyd–Warshall row update: given row i after
 // stage k-1 and the pivot row k after stage k-1, it returns row i after
 // stage k, charging one min-plus operation per element. This is the
-// mutator kernel of both parallel versions.
+// mutator kernel of both parallel versions. Rows are immutable values,
+// so a row no element of which improves is returned itself; otherwise
+// the row is copied at the first improvement and the copy updated in
+// place. The charges do not depend on which happens.
 func UpdateRow(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) []int32 {
 	n := len(row)
-	out := make([]int32, n)
-	rik := row[k]
-	if rik >= Inf {
-		copy(out, row)
-	} else {
-		for j := 0; j < n; j++ {
-			if alt := rik + pivot[j]; alt < row[j] {
-				out[j] = alt
-			} else {
-				out[j] = row[j]
+	out := row
+	if rik := row[k]; rik < Inf {
+		pivot = pivot[:n]
+		j := 0
+		for j < n && rik+pivot[j] >= row[j] {
+			j++
+		}
+		if j < n {
+			out = append([]int32(nil), row...)
+			for ; j < n; j++ {
+				if alt := rik + pivot[j]; alt < out[j] {
+					out[j] = alt
+				}
 			}
 		}
 	}

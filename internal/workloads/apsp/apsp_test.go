@@ -55,6 +55,43 @@ func TestUpdateRowMatchesOracleStage(t *testing.T) {
 	}
 }
 
+// TestUpdateRowCopiesOnlyOnChange: a row no element of which improves
+// comes back as the same slice without allocating; an improved row is a
+// fresh copy and the input is untouched. The charges are the same
+// either way (the simulator's goldens depend on them).
+func TestUpdateRowCopiesOnlyOnChange(t *testing.T) {
+	row := []int32{5, 0, 3, 9}
+	pivot := []int32{7, 2, 0, 1} // row[2]+pivot[j] = 10, 5, 3, 4
+	ctx := &nopCtx{}
+	same := []int32{5, 0, 3, 4}
+	if got := UpdateRow(ctx, 1, same, pivot, 2); &got[0] != &same[0] {
+		t.Fatal("unchanged row was copied")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { UpdateRow(ctx, 1, same, pivot, 2) }); allocs != 0 {
+		t.Fatalf("unchanged row: %v allocs, want 0", allocs)
+	}
+	got := UpdateRow(ctx, 1, row, pivot, 2)
+	if &got[0] == &row[0] {
+		t.Fatal("improved row was updated in place")
+	}
+	if want := []int32{5, 0, 3, 4}; !Equal(Graph{got}, Graph{want}) {
+		t.Fatalf("updated row = %v, want %v", got, want)
+	}
+	if row[3] != 9 {
+		t.Fatalf("input row mutated: %v", row)
+	}
+	unreachable := []int32{1, 1, Inf, 1}
+	if got := UpdateRow(ctx, 1, unreachable, pivot, 2); &got[0] != &unreachable[0] {
+		t.Fatal("row with no path to the pivot was copied")
+	}
+	ctx = &nopCtx{}
+	UpdateRow(ctx, 3, same, pivot, 2)
+	UpdateRow(ctx, 3, row, pivot, 2)
+	if ctx.burned != 2*4*3 || ctx.alloced != 2*(4*AllocPerElem+24) {
+		t.Fatalf("charges burned=%d alloced=%d", ctx.burned, ctx.alloced)
+	}
+}
+
 func TestSeqProgramMatchesOracle(t *testing.T) {
 	g := RandomGraph(24, 5, 9, 30)
 	want := FloydWarshall(g)

@@ -26,36 +26,44 @@ const thunkBuildAlloc = 40
 // and a pipeline forms. The shared pivots make this the showcase for the
 // two policies, in virtual time and on real cores alike.
 func Program(g Graph, minPlusCost int64) exec.Program {
-	n := len(g)
 	return func(ctx exec.Ctx) graph.Value {
-		ctx.Alloc(Bytes(n)) // the input adjacency matrix
-		rows := make([]*graph.Thunk, n)
-		for i := range rows {
-			row := append([]int32(nil), g[i]...)
-			rows[i] = graph.NewValue(row)
-		}
-		for k := 0; k < n; k++ {
-			k := k
-			pivot := rows[k]
-			next := make([]*graph.Thunk, n)
-			for i := 0; i < n; i++ {
-				ri := rows[i]
-				next[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
-					pk := c.Force(pivot).([]int32)
-					r := c.Force(ri).([]int32)
-					return UpdateRow(c, minPlusCost, r, pk, k)
-				})
-			}
-			ctx.Alloc(int64(n) * thunkBuildAlloc)
-			rows = next
-		}
+		rows := lattice(ctx, g, minPlusCost)
 		strategies.ParListWHNF(ctx, rows)
-		out := make(Graph, n)
+		out := make(Graph, len(rows))
 		for i, t := range rows {
 			out[i] = ctx.Force(t).([]int32)
 		}
 		return out
 	}
+}
+
+// lattice builds the Floyd–Warshall thunk lattice shared by Program and
+// AutoProgram and returns the final rows' thunks: row i after stage k
+// is a thunk forcing row i and the pivot row k after stage k-1.
+func lattice(ctx exec.Ctx, g Graph, minPlusCost int64) []*graph.Thunk {
+	n := len(g)
+	ctx.Alloc(Bytes(n)) // the input adjacency matrix
+	rows := make([]*graph.Thunk, n)
+	for i := range rows {
+		row := append([]int32(nil), g[i]...)
+		rows[i] = graph.NewValue(row)
+	}
+	for k := 0; k < n; k++ {
+		k := k
+		pivot := rows[k]
+		next := make([]*graph.Thunk, n)
+		for i := 0; i < n; i++ {
+			ri := rows[i]
+			next[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
+				pk := c.Force(pivot).([]int32)
+				r := c.Force(ri).([]int32)
+				return UpdateRow(c, minPlusCost, r, pk, k)
+			})
+		}
+		ctx.Alloc(int64(n) * thunkBuildAlloc)
+		rows = next
+	}
+	return rows
 }
 
 // GpHProgram is Program specialised to the simulated runtime, kept for
