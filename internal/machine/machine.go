@@ -12,6 +12,14 @@
 // is exact. With more runnable entities than cores — Eden's "virtual PEs",
 // e.g. 17 PVM nodes on 8 cores in the paper's Fig. 4 — the model
 // reproduces the OS-level timeslicing those runs relied on.
+//
+// Every change in the set of burners re-rates all of them and wakes each
+// sleeping burner so that it re-plans its completion, even when its share
+// did not change: the wake-up gives its completion event a fresh sequence
+// number, which fixes the order of bursts that end at the same virtual
+// time. A burner sleeps in sim.Task.SleepWhile, so these re-plans run in
+// the simulation kernel: a burner's task is resumed once, when its work
+// is done, however many wake-ups it received.
 package machine
 
 import (
@@ -83,20 +91,23 @@ func (m *CPU) Burn(t *sim.Task, work int64) {
 	}
 	b := &burner{t: t, remaining: float64(work), lastSettle: t.Now()}
 	m.add(b)
-	const eps = 1e-3
-	for {
-		eta := sim.Time(math.Ceil(b.remaining / b.rate))
-		if eta < 1 {
-			eta = 1
-		}
-		t.SleepInterruptible(eta)
-		b.settle(t.Now())
-		if b.remaining <= eps {
-			break
-		}
-		// Woken early by a rebalance: loop with the updated rate.
-	}
+	t.SleepWhile(b.plan)
 	m.remove(b)
+}
+
+// plan settles b's progress and returns the virtual time it still needs
+// at its current rate, or 0 once its work is done.
+func (b *burner) plan() sim.Time {
+	const eps = 1e-3
+	b.settle(b.t.Now())
+	if b.remaining <= eps {
+		return 0
+	}
+	eta := sim.Time(math.Ceil(b.remaining / b.rate))
+	if eta < 1 {
+		eta = 1
+	}
+	return eta
 }
 
 func (b *burner) settle(now sim.Time) {
@@ -125,7 +136,8 @@ func (m *CPU) remove(b *burner) {
 // rebalance recomputes every burner's share after a membership change and
 // wakes sleeping burners so they re-plan their completion. The burner
 // `except` (the caller, which is about to compute its own ETA) is settled
-// and re-rated but not unparked.
+// and re-rated but not unparked. Every other burner is unparked even when
+// its share is unchanged, which keeps the tie order (see the package doc).
 func (m *CPU) rebalance(except *burner) {
 	n := len(m.burners)
 	if n == 0 {

@@ -187,3 +187,28 @@ func TestBurnSequenceOnSameTask(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestTieOrderAfterUnchangedShare(t *testing.T) {
+	// 4 cores, so b joining at 50 leaves a's share at 1, and both finish
+	// at 100. The join still wakes a, which re-plans behind b: b finishes
+	// first. Skipping the wake-up because the share did not change would
+	// keep a's original event and finish a first.
+	s := sim.New(1)
+	m := New(s, 4)
+	var order []string
+	burn := func(name string, start sim.Time, work int64) {
+		s.Spawn(name, func(tk *sim.Task) {
+			tk.Advance(start)
+			m.Burn(tk, work)
+			order = append(order, fmt.Sprintf("%s@%d", name, tk.Now()))
+		})
+	}
+	burn("a", 1, 99)
+	burn("b", 50, 50)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[b@100 a@100]" {
+		t.Fatalf("finish order = %s, want [b@100 a@100]", got)
+	}
+}

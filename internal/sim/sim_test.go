@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAdvanceAccumulatesTime(t *testing.T) {
@@ -137,13 +139,13 @@ func TestSleepInterruptibleWoken(t *testing.T) {
 }
 
 func TestSleepTimeoutCancelledAfterWake(t *testing.T) {
-	// The stale timeout event must not resume the task a second time.
+	// The timeout an Unpark cut short must not resume the task a second time.
 	s := New(1)
 	var resumes int
 	sleeper := s.Spawn("sleeper", func(tk *Task) {
 		tk.SleepInterruptible(1000)
 		resumes++
-		tk.Park() // parks again; a stale timeout at t=1000 must not wake it
+		tk.Park() // parks again; the cancelled timeout at t=1000 must not wake it
 		resumes++
 	})
 	s.Spawn("waker", func(tk *Task) {
@@ -347,5 +349,237 @@ func TestZeroAdvanceKeepsBall(t *testing.T) {
 	// a spawned first, Advance(0) must not reorder it behind b.
 	if strings.Join(order, "") != "ab" {
 		t.Fatalf("order = %v, want [a b]", order)
+	}
+}
+
+// untilAt returns a SleepWhile plan that sleeps until virtual time end,
+// counting in *onTask the calls made while tk itself held the ball (that
+// is, after tk was resumed) and in *calls all of them.
+func untilAt(tk *Task, end Time, calls, onTask *int) func() Time {
+	return func() Time {
+		*calls++
+		if tk.sim.cur == tk {
+			*onTask++
+		}
+		return end - tk.Now()
+	}
+}
+
+func TestSleepWhileUnparkedNTimesResumesOnce(t *testing.T) {
+	const n = 25
+	s := New(1)
+	var calls, onTask int
+	var end Time
+	sleeper := s.Spawn("sleeper", func(tk *Task) {
+		tk.SleepWhile(untilAt(tk, 1000, &calls, &onTask))
+		end = tk.Now()
+	})
+	s.Spawn("waker", func(tk *Task) {
+		for i := 0; i < n; i++ {
+			tk.Advance(10)
+			sleeper.Unpark()
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if end != 1000 {
+		t.Fatalf("sleeper woke at %d, want 1000", end)
+	}
+	// One plan call on entry, one per Unpark, one at the deadline; only
+	// the entry call runs on the task itself.
+	if calls != n+2 || onTask != 1 {
+		t.Fatalf("plan calls = %d (%d on the task), want %d (1 on the task)", calls, onTask, n+2)
+	}
+}
+
+func TestSleepWhileConsumesBufferedPermit(t *testing.T) {
+	s := New(1)
+	var calls, onTask int
+	var slept, parked Time
+	var sleeper *Task
+	sleeper = s.Spawn("sleeper", func(tk *Task) {
+		tk.Advance(10) // an Unpark at 5 is buffered as a permit
+		tk.SleepWhile(untilAt(tk, 100, &calls, &onTask))
+		slept = tk.Now()
+		tk.Park() // the permit is gone: this waits for the Unpark at 200
+		parked = tk.Now()
+	})
+	s.Spawn("waker", func(tk *Task) {
+		tk.Advance(5)
+		sleeper.Unpark()
+		tk.Advance(195)
+		sleeper.Unpark()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if slept != 100 || parked != 200 {
+		t.Fatalf("SleepWhile returned at %d and Park at %d, want 100 and 200", slept, parked)
+	}
+	// As with SleepInterruptible in a loop: the permit cuts the first
+	// sleep short at once, so the plan runs twice on entry.
+	if calls != 3 || onTask != 2 {
+		t.Fatalf("plan calls = %d (%d on the task), want 3 (2 on the task)", calls, onTask)
+	}
+}
+
+func TestSleepWhileUnparkKeepsTieOrder(t *testing.T) {
+	// a and b both sleep until 100; b went to sleep later, so it is behind
+	// a at that instant. An Unpark of a at 60 does not change a's
+	// deadline, but it does re-schedule a, behind b: a kernel that skipped
+	// the re-schedule because nothing changed would finish a first.
+	s := New(1)
+	var order []string
+	var calls, onTask int
+	sleep := func(name string, start Time) *Task {
+		return s.Spawn(name, func(tk *Task) {
+			tk.Advance(start)
+			tk.SleepWhile(untilAt(tk, 100, &calls, &onTask))
+			order = append(order, name)
+		})
+	}
+	a := sleep("a", 1)
+	sleep("b", 50)
+	s.Spawn("waker", func(tk *Task) {
+		tk.Advance(60)
+		a.Unpark()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, ""); got != "ba" {
+		t.Fatalf("finish order = %q, want ba", got)
+	}
+}
+
+func TestQueueHoldsOneEventPerTask(t *testing.T) {
+	// At every pop — a task resume, a callback or a kernel re-plan — the
+	// queue holds at most one event per unfinished task plus the pending
+	// callbacks, however many times the sleepers are woken.
+	s := New(1)
+	pendingCallbacks := 0
+	pops := 0
+	var violation string
+	check := func() {
+		pops++
+		if len(s.queue) > s.live+pendingCallbacks && violation == "" {
+			violation = fmt.Sprintf("t=%d: %d queued events, %d unfinished tasks, %d pending callbacks",
+				s.now, len(s.queue), s.live, pendingCallbacks)
+		}
+	}
+	var sleepers []*Task
+	for i := 0; i < 4; i++ {
+		sleepers = append(sleepers, s.Spawn(fmt.Sprintf("sleeper%d", i), func(tk *Task) {
+			check()
+			end := Time(5000 + 100*tk.ID())
+			tk.SleepWhile(func() Time { check(); return end - tk.Now() })
+			check()
+			for j := 0; j < 10; j++ {
+				tk.SleepInterruptible(300)
+				check()
+			}
+		}))
+	}
+	s.Spawn("waker", func(tk *Task) {
+		for j := 0; j < 200; j++ {
+			check()
+			tk.Advance(7)
+			for _, sl := range sleepers {
+				sl.Unpark()
+			}
+			pendingCallbacks++
+			s.After(3, func() { pendingCallbacks--; check() })
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if violation != "" {
+		t.Fatal(violation)
+	}
+	if pops < 1000 {
+		t.Fatalf("only %d pops checked", pops)
+	}
+}
+
+type callbackBoom struct{ code int }
+
+func TestCallbackPanicSurfacesUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(s *Sim)
+	}{
+		// The callback is dispatched by a task yielding in Advance.
+		{"from a yield", func(s *Sim) {
+			s.Spawn("x", func(tk *Task) { tk.Advance(100) })
+		}},
+		// ... by a task that has just finished.
+		{"from a finished task", func(s *Sim) {
+			s.Spawn("x", func(tk *Task) { tk.Advance(4) })
+		}},
+		// ... by Run itself, before any task holds the ball.
+		{"from Run", func(s *Sim) {
+			s.After(50, func() { s.Spawn("x", func(tk *Task) {}) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			tc.setup(s)
+			s.After(10, func() { panic(callbackBoom{7}) })
+			defer func() {
+				if r := recover(); r != (callbackBoom{7}) {
+					t.Fatalf("Run panicked with %#v, want callbackBoom{7}", r)
+				}
+			}()
+			_ = s.Run()
+			t.Fatal("Run returned without panicking")
+		})
+	}
+}
+
+// goroutinesSettle waits briefly for goroutines that have finished their
+// work to exit, and returns the final count.
+func goroutinesSettle(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func TestEndedRunsLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		s := New(1)
+		s.Spawn("stuck", func(tk *Task) { tk.Park() })
+		s.Spawn("sleeper", func(tk *Task) {
+			tk.SleepWhile(func() Time { return 1 })
+		})
+		s.Spawn("halter", func(tk *Task) {
+			tk.Advance(1000)
+			tk.Sim().Halt()
+			tk.Sim().Spawn("never-started", func(tk *Task) {})
+			tk.Advance(1)
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		d := New(1)
+		unwound := false
+		d.Spawn("stuck", func(tk *Task) {
+			defer func() { unwound = true }()
+			tk.Park()
+		})
+		if err := d.Run(); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("err = %v, want deadlock", err)
+		}
+		if !unwound {
+			t.Fatal("deadlocked task was not unwound before Run returned")
+		}
+	}
+	if after := goroutinesSettle(before); after > before {
+		t.Fatalf("goroutines: %d before 200 ended runs, %d after", before, after)
 	}
 }
