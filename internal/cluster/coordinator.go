@@ -248,8 +248,8 @@ func (l *rankLink) kill() {
 // accept loop and timers feed the coordinator's state machine.
 type event struct {
 	rank int
-	gen  int    // connection generation, for ignoring stale reports
-	kind byte   // frame kind, 0 for non-frame events
+	gen  int  // connection generation, for ignoring stale reports
+	kind byte // frame kind, 0 for non-frame events
 	body []byte
 	err  error
 
@@ -634,6 +634,15 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 			return nil, fmt.Errorf("cluster: launching rank %d: %w", rank, err)
 		}
 		cmds[rank] = cmd
+		// The exit waiter starts at launch, before the readers: a
+		// goroutine blocked in wait holds its P until sysmon retakes
+		// it, and sysmon backs off to 10 ms while the process is idle.
+		// Waiters started after GO can hold every P just as the first
+		// routed frames arrive, leaving them unread for that long.
+		// Exits seen before GO wait in evCh.
+		go func(rank int, cmd *exec.Cmd) {
+			cd.emit(event{rank: rank, exit: true, err: cmd.Wait()})
+		}(rank, cmd)
 	}
 	defer terminateAll(cmds, terminateGrace)
 
@@ -662,11 +671,6 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 		go cd.writeLoop(l)
 	}
 	go cd.heartbeat()
-	for rank, cmd := range cmds {
-		go func(rank int, cmd *exec.Cmd) {
-			cd.emit(event{rank: rank, exit: true, err: cmd.Wait()})
-		}(rank, cmd)
-	}
 
 	// The state machine: wait for rank 0's result, drain, collect every
 	// rank's report. A death before a rank has reported fails the run —

@@ -13,9 +13,12 @@ package graph
 // An Arena is intentionally NOT safe for concurrent use: exactly one
 // goroutine (the owning worker) allocates from it. The thunks it hands
 // out are ordinary shared heap nodes — any worker may claim, force and
-// update them; only the *allocation* is owner-local. Chunks are kept
-// alive by the arena until Reset, so a handed-out thunk can never be
-// collected under a still-running program.
+// update them; only the *allocation* is owner-local. The arena holds
+// only the chunk it is filling: a filled chunk stays alive exactly as
+// long as some thunk in it is referenced (a pointer to one slot keeps
+// the whole chunk), and Go's GC frees it after that. An arena that is
+// never Reset, such as a resident pool worker's, therefore does not pin
+// the thunks of finished jobs.
 type Arena struct {
 	chunk []Thunk
 	pos   int
@@ -23,11 +26,9 @@ type Arena struct {
 	// chunkThunks is the chunk capacity in thunks.
 	chunkThunks int
 
-	// retired keeps completed chunks reachable until Reset. Without it
-	// the GC could not free any chunk early anyway (live thunks pin it),
-	// but holding them makes the lifetime rule explicit and gives Stats
-	// an exact chunk count.
-	retired [][]Thunk
+	// chunks counts the chunks allocated since the last Reset, for
+	// Stats; the filled ones themselves are not kept.
+	chunks int64
 }
 
 // DefaultArenaChunk is the default chunk capacity, in thunks. At ~96
@@ -48,10 +49,8 @@ func NewArena(chunkThunks int) *Arena {
 // the current one is exhausted.
 func (a *Arena) alloc() *Thunk {
 	if a.pos == len(a.chunk) {
-		if a.chunk != nil {
-			a.retired = append(a.retired, a.chunk)
-		}
 		a.chunk = make([]Thunk, a.chunkThunks)
+		a.chunks++
 		a.pos = 0
 	}
 	t := &a.chunk[a.pos]
@@ -87,24 +86,22 @@ func (a *Arena) NewThunkAdapted(adapt AdaptFn, payload any) *Thunk {
 	return t
 }
 
-// Stats reports the arena's footprint: chunks allocated and thunks
-// handed out.
+// Stats reports the arena's footprint since the last Reset: chunks
+// allocated and thunks handed out.
 func (a *Arena) Stats() (chunks, thunks int64) {
-	if a.chunk != nil {
-		chunks = 1
+	if a.chunks == 0 {
+		return 0, 0
 	}
-	chunks += int64(len(a.retired))
-	thunks = int64(len(a.retired))*int64(a.chunkThunks) + int64(a.pos)
-	return chunks, thunks
+	return a.chunks, (a.chunks-1)*int64(a.chunkThunks) + int64(a.pos)
 }
 
 // Reset recycles the arena for a new run: the current chunk is rewound
-// and retired chunks are dropped. The caller must guarantee that no
+// and becomes the only chunk counted. The caller must guarantee that no
 // thunk handed out before the Reset is still reachable — the rewound
 // chunk's slots are reused, so a stale reference would observe a
 // different computation's node.
 func (a *Arena) Reset() {
-	a.retired = nil
+	a.chunks = min(a.chunks, 1)
 	a.pos = 0
 	clear(a.chunk)
 }

@@ -97,7 +97,7 @@ func newPoolMetrics(reg *metrics.Registry, p *Pool) *poolMetrics {
 
 	// Arena footprint from the workers' published atomics (the arena's
 	// own counters are owner-written plain fields — racy to read live).
-	reg.GaugeFunc("native_pool_arena_chunks", "thunk-arena chunks currently allocated across workers", func() float64 {
+	reg.GaugeFunc("native_pool_arena_chunks", "thunk-arena chunks allocated across workers", func() float64 {
 		var n int64
 		for _, w := range p.rt.workers {
 			n += w.pubArenaChunks.Load()

@@ -3,6 +3,7 @@ package native
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -328,5 +329,72 @@ func TestResidentSamplerMonotonic(t *testing.T) {
 	final := snap()
 	if want := int64(4 * 15 * 6); final.SparksCreated < want {
 		t.Fatalf("final SparksCreated = %d, want >= %d", final.SparksCreated, want)
+	}
+}
+
+// TestPoolArenasDoNotPinFinishedJobs: a resident pool never resets its
+// workers' thunk arenas, so the arenas must not keep filled chunks
+// reachable themselves. Each job's sparks build chains of thunks on the
+// pool workers; once the jobs are done, nothing references those
+// thunks, and the heap after a GC must not grow with the number of
+// jobs run.
+func TestPoolArenasDoNotPinFinishedJobs(t *testing.T) {
+	p := NewPool(NewConfig(2))
+	defer p.Close()
+	job := func(ctx exec.Ctx) graph.Value {
+		sparks := make([]*graph.Thunk, 8)
+		for i := range sparks {
+			sparks[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
+				var chain *graph.Thunk
+				for d := 0; d < 64; d++ {
+					prev := chain
+					chain = exec.NewThunk(c, func(c exec.Ctx) graph.Value {
+						if prev != nil {
+							c.Force(prev)
+						}
+						return make([]byte, 128)
+					})
+				}
+				return len(c.Force(chain).([]byte))
+			})
+			ctx.Par(sparks[i])
+		}
+		sum := 0
+		for _, s := range sparks {
+			sum += ctx.Force(s).(int)
+		}
+		return sum
+	}
+	run := func(jobs int) {
+		for i := 0; i < jobs; i++ {
+			h, err := p.Submit(JobConfig{Deadline: 30 * time.Second}, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := h.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Value.(int) != 8*128 {
+				t.Fatalf("job value = %v, want %d", res.Value, 8*128)
+			}
+		}
+	}
+	heapInuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	run(50) // warm the pool: its workers' first chunks, deques, rings
+	before := heapInuse()
+	// 400 jobs build 204,800 thunks holding 128-byte values; arenas
+	// that kept every chunk they filled grew the heap by about 30 MB.
+	run(400)
+	after := heapInuse()
+	const bound = 8 << 20
+	if after > before+bound {
+		t.Fatalf("HeapInuse grew by %.1f MB over 400 finished jobs (bound %d MB): the arenas pin dead thunks",
+			float64(after-before)/(1<<20), bound>>20)
 	}
 }

@@ -6,6 +6,13 @@
 // rows, relying on the runtime to synchronise the concurrent evaluations
 // of the shared pivot rows — the program whose performance collapses
 // without eager black-holing (Fig. 5).
+//
+// Every version runs the same Floyd–Warshall row update, minPlus: the
+// sequential oracle FloydWarshall, the GpH lattice's UpdateRow, and
+// UpdateRowInPlace for the Eden ring, the cluster and SeqProgram. The
+// simulated versions charge their cost model from the row length
+// alone, so how the host computes the update never moves a virtual
+// time.
 package apsp
 
 import (
@@ -70,22 +77,38 @@ func Clone(g Graph) Graph {
 	return out
 }
 
+// minPlus is the one Floyd–Warshall row update every version runs:
+// dst[j] = min(row[j], rik+pivot[j]) for every j < len(dst). It has no
+// branch on the comparison (the builtin min compiles to a conditional
+// move): on random graphs whether an element improves is close to a
+// coin toss, so a branch on it mispredicts. Re-slicing row and pivot to
+// len(dst) hoists their bounds checks, and the body is unrolled by
+// four. dst may alias row, and pivot may alias both (row k updated by
+// pivot row k is left as it is). The caller guarantees rik < Inf, so
+// rik+pivot[j] cannot overflow.
+func minPlus(dst, row, pivot []int32, rik int32) {
+	n := len(dst)
+	row, pivot = row[:n], pivot[:n]
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		d, r, p := dst[j:j+4:j+4], row[j:j+4:j+4], pivot[j:j+4:j+4]
+		d[0] = min(r[0], rik+p[0])
+		d[1] = min(r[1], rik+p[1])
+		d[2] = min(r[2], rik+p[2])
+		d[3] = min(r[3], rik+p[3])
+	}
+	for ; j < n; j++ {
+		dst[j] = min(row[j], rik+pivot[j])
+	}
+}
+
 // FloydWarshall is the sequential oracle (no cost accounting).
 func FloydWarshall(g Graph) Graph {
 	d := Clone(g)
-	n := len(d)
-	for k := 0; k < n; k++ {
-		dk := d[k]
-		for i := 0; i < n; i++ {
-			di := d[i]
-			dik := di[k]
-			if dik >= Inf {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if alt := dik + dk[j]; alt < di[j] {
-					di[j] = alt
-				}
+	for k, dk := range d {
+		for _, di := range d {
+			if dik := di[k]; dik < Inf {
+				minPlus(di, di, dk, dik)
 			}
 		}
 	}
@@ -97,8 +120,8 @@ func FloydWarshall(g Graph) Graph {
 // stage k, charging one min-plus operation per element. This is the
 // mutator kernel of both parallel versions. Rows are immutable values,
 // so a row no element of which improves is returned itself; otherwise
-// the row is copied at the first improvement and the copy updated in
-// place. The charges do not depend on which happens.
+// the row is copied up to the first improvement and minPlus writes the
+// rest of the copy. The charges do not depend on which happens.
 func UpdateRow(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) []int32 {
 	n := len(row)
 	out := row
@@ -109,12 +132,9 @@ func UpdateRow(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) []int32 {
 			j++
 		}
 		if j < n {
-			out = append([]int32(nil), row...)
-			for ; j < n; j++ {
-				if alt := rik + pivot[j]; alt < out[j] {
-					out[j] = alt
-				}
-			}
+			out = make([]int32, n)
+			copy(out, row[:j])
+			minPlus(out[j:], row[j:], pivot[j:], rik)
 		}
 	}
 	ctx.Burn(int64(n) * minPlusCost)
@@ -126,13 +146,8 @@ func UpdateRow(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) []int32 {
 // versions (Eden ring nodes mutate their private rows).
 func UpdateRowInPlace(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) {
 	n := len(row)
-	rik := row[k]
-	if rik < Inf {
-		for j := 0; j < n; j++ {
-			if alt := rik + pivot[j]; alt < row[j] {
-				row[j] = alt
-			}
-		}
+	if rik := row[k]; rik < Inf {
+		minPlus(row, row, pivot, rik)
 	}
 	ctx.Burn(int64(n) * minPlusCost)
 	ctx.Alloc(24)

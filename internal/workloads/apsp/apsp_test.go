@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -89,6 +90,184 @@ func TestUpdateRowCopiesOnlyOnChange(t *testing.T) {
 	UpdateRow(ctx, 3, row, pivot, 2)
 	if ctx.burned != 2*4*3 || ctx.alloced != 2*(4*AllocPerElem+24) {
 		t.Fatalf("charges burned=%d alloced=%d", ctx.burned, ctx.alloced)
+	}
+}
+
+// randomRow returns n distances in 0..maxw, each Inf with probability
+// pInf.
+func randomRow(rng *rand.Rand, n int, maxw int32, pInf float64) []int32 {
+	r := make([]int32, n)
+	for j := range r {
+		if rng.Float64() < pInf {
+			r[j] = Inf
+		} else {
+			r[j] = rng.Int31n(maxw + 1)
+		}
+	}
+	return r
+}
+
+// TestMinPlusMatchesScalarLoop checks the unrolled kernel against the
+// plain loop it replaced, at every length 0–67 (so every tail of the
+// unroll runs), with dst separate from row and aliasing it, and checks
+// that nothing past len(dst) is written.
+func TestMinPlusMatchesScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const sentinel = -7
+	for n := 0; n <= 67; n++ {
+		for trial := 0; trial < 20; trial++ {
+			pInf := []float64{0, 0.3, 0.9}[trial%3]
+			row := randomRow(rng, n, 50, pInf)
+			pivot := randomRow(rng, n, 50, pInf)
+			rik := rng.Int31n(30)
+			want := append([]int32(nil), row...)
+			for j := range want {
+				if alt := rik + pivot[j]; alt < want[j] {
+					want[j] = alt
+				}
+			}
+
+			buf := append(make([]int32, n), sentinel, sentinel)
+			minPlus(buf[:n], row, pivot, rik)
+			for j := range want {
+				if buf[j] != want[j] {
+					t.Fatalf("n=%d separate dst: dst[%d] = %d, want %d", n, j, buf[j], want[j])
+				}
+			}
+			if buf[n] != sentinel || buf[n+1] != sentinel {
+				t.Fatalf("n=%d: wrote past len(dst): %v", n, buf[n:])
+			}
+
+			inPlace := append(append([]int32(nil), row...), sentinel)
+			minPlus(inPlace[:n], inPlace[:n], pivot, rik)
+			for j := range want {
+				if inPlace[j] != want[j] {
+					t.Fatalf("n=%d aliased dst: dst[%d] = %d, want %d", n, j, inPlace[j], want[j])
+				}
+			}
+			if inPlace[n] != sentinel {
+				t.Fatalf("n=%d: aliased update wrote past len(dst)", n)
+			}
+		}
+	}
+}
+
+// TestUpdateRowMatchesScalarLoop: on random rows, UpdateRow returns the
+// plain loop's result, returns the input row itself exactly when no
+// element improves, and never changes its input.
+func TestUpdateRowMatchesScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ctx := &nopCtx{}
+	sameSeen, copySeen := 0, 0
+	for n := 1; n <= 67; n++ {
+		for trial := 0; trial < 20; trial++ {
+			pInf := []float64{0, 0.5, 0.95}[trial%3]
+			row := randomRow(rng, n, 20, pInf)
+			pivot := randomRow(rng, n, 20, pInf)
+			k := rng.Intn(n)
+			orig := append([]int32(nil), row...)
+			want := append([]int32(nil), row...)
+			improves := false
+			if rik := row[k]; rik < Inf {
+				for j := range want {
+					if alt := rik + pivot[j]; alt < want[j] {
+						want[j], improves = alt, true
+					}
+				}
+			}
+			got := UpdateRow(ctx, 1, row, pivot, k)
+			if !Equal(Graph{got}, Graph{want}) {
+				t.Fatalf("n=%d k=%d: UpdateRow = %v, want %v", n, k, got, want)
+			}
+			if !Equal(Graph{row}, Graph{orig}) {
+				t.Fatalf("n=%d k=%d: input row changed", n, k)
+			}
+			if same := &got[0] == &row[0]; same == improves {
+				t.Fatalf("n=%d k=%d: returned the input row = %v, but an element improves = %v", n, k, same, improves)
+			} else if same {
+				sameSeen++
+			} else {
+				copySeen++
+			}
+		}
+	}
+	if sameSeen == 0 || copySeen == 0 {
+		t.Fatalf("cases: %d unchanged, %d improved; want both", sameSeen, copySeen)
+	}
+}
+
+// dijkstraAll is the test's own all-pairs reference, independent of the
+// kernel under test: an O(n²) Dijkstra from every source. Weights are
+// non-negative and Inf means no edge.
+func dijkstraAll(g Graph) Graph {
+	n := len(g)
+	out := make(Graph, n)
+	for s := range out {
+		dist := make([]int32, n)
+		done := make([]bool, n)
+		for v := range dist {
+			dist[v] = Inf
+		}
+		dist[s] = 0
+		for {
+			u := -1
+			for v := range dist {
+				if !done[v] && dist[v] < Inf && (u < 0 || dist[v] < dist[u]) {
+					u = v
+				}
+			}
+			if u < 0 {
+				break
+			}
+			done[u] = true
+			for v, w := range g[u] {
+				if w < Inf && dist[u]+w < dist[v] {
+					dist[v] = dist[u] + w
+				}
+			}
+		}
+		out[s] = dist
+	}
+	return out
+}
+
+// TestFloydWarshallMatchesDijkstra checks the oracle, which now runs
+// the same kernel as every version it checks, against the independent
+// reference on graphs from nearly all-Inf to dense, with unreachable
+// pairs and zero-weight edges.
+func TestFloydWarshallMatchesDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sizes := []int{67}
+	for n := 1; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for _, density := range []float64{0.02, 0.1, 0.3, 0.7, 1} {
+			g := make(Graph, n)
+			for i := range g {
+				g[i] = randomRow(rng, n, 30, 1-density)
+				g[i][i] = 0
+			}
+			in := Clone(g)
+			got, want := FloydWarshall(g), dijkstraAll(g)
+			if !Equal(got, want) {
+				t.Fatalf("n=%d density=%.2f: FloydWarshall differs from Dijkstra", n, density)
+			}
+			if !Equal(g, in) {
+				t.Fatalf("n=%d density=%.2f: FloydWarshall changed its input", n, density)
+			}
+		}
+	}
+}
+
+// BenchmarkFloydWarshall times the sequential oracle on the cost
+// ladder's APSP graph (n = 300, weights 1–40, 4% density): n³ = 27M
+// min-plus element updates per op.
+func BenchmarkFloydWarshall(b *testing.B) {
+	g := RandomGraph(300, 1, 40, 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FloydWarshall(g)
 	}
 }
 
